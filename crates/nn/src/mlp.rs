@@ -116,11 +116,11 @@ impl Mlp {
         &params[l.b_start..l.b_start + l.out_dim]
     }
 
-    /// Runs the forward pass and returns pre-activations of every layer plus
-    /// the input batch, which the backward pass re-uses.
+    /// Runs the forward pass and returns the (pooled) pre-activations of
+    /// every layer, which the backward pass re-uses.
     fn forward(&self, params: &[f32], batch: &Matrix, pool: &mut ScratchPool) -> Vec<Matrix> {
         let mut pre_activations = Vec::with_capacity(self.layers.len());
-        let mut activ = batch.clone();
+        let mut activ = pooled_copy(batch, pool);
         for (li, layer) in self.layers.iter().enumerate() {
             let w = self.weight_matrix(params, li, pool);
             let mut z = pool.take(activ.rows(), layer.out_dim);
@@ -154,6 +154,14 @@ impl Mlp {
         }
         m
     }
+}
+
+/// A copy of `m` in a pooled buffer, so recycling it returns a buffer the
+/// pool handed out rather than growing the pool by one.
+fn pooled_copy(m: &Matrix, pool: &mut ScratchPool) -> Matrix {
+    let mut copy = pool.take(m.rows(), m.cols());
+    copy.as_mut_slice().copy_from_slice(m.as_slice());
+    copy
 }
 
 impl ModelArch for Mlp {
@@ -222,7 +230,7 @@ impl ModelArch for Mlp {
                 let layer = self.layers[li];
                 // Activation feeding this layer.
                 let input_act = if li == 0 {
-                    batch.clone()
+                    pooled_copy(&batch, pool)
                 } else {
                     let prev = &pre[li - 1];
                     let mut act = pool.take(prev.rows(), prev.cols());
@@ -430,6 +438,29 @@ mod tests {
             after.loss
         );
         assert!(after.accuracy > before.accuracy);
+    }
+
+    /// Training and evaluation return every pooled buffer they take and
+    /// recycle nothing else, so once the first calls have sized the pool for
+    /// both batch shapes it stops growing.
+    #[test]
+    fn scratch_pool_stays_flat_across_calls() {
+        let mlp = toy_mlp();
+        let data = toy_dataset(12, 6, 3);
+        let params = mlp.init_params(&mut rng_from_seed(5));
+        let indices: Vec<usize> = (0..8).collect();
+        let step = || {
+            let mut grad = vec![0.0; params.len()];
+            mlp.loss_and_grad(&params, &data, &indices, &mut grad);
+            mlp.evaluate(&params, &data);
+        };
+        step();
+        step();
+        let warm = with_pool(|p| p.idle());
+        for _ in 0..50 {
+            step();
+        }
+        assert_eq!(with_pool(|p| p.idle()), warm);
     }
 
     #[test]

@@ -38,7 +38,7 @@ use rand::rngs::StdRng;
 
 use crate::absorb::{InFlight, ModeState, RoundAccumulator};
 use crate::algorithm::FlAlgorithm;
-use crate::backend::{parallel_mean_accuracy, ExecutionBackend, StepTask};
+use crate::backend::{self, parallel_mean_accuracy, ExecutionBackend, StepTask};
 use crate::env::FlEnv;
 use crate::metrics::{RoundMetrics, RunResult};
 use crate::topology::{absorb_arrivals, TopologyState};
@@ -111,7 +111,7 @@ impl<'a> Driver<'a> {
             SelectionTracker::new(env.expected_latencies())
         };
         Self {
-            backend: env.config.backend.build(&env.config),
+            backend: backend::for_config(&env.config),
             policy: env.config.selection.build(),
             tracker,
             selection_rng: rng_from_seed(split_seed(env.config.seed, STREAM_SELECTION)),

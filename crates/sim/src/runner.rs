@@ -78,7 +78,6 @@ impl Simulator {
 mod tests {
     use super::*;
     use crate::algorithm::{ClientOutcome, ClientReport, ClientUpdate};
-    use crate::backend::BackendKind;
     use crate::config::{FlConfig, RoundMode, SelectionKind};
     use crate::train::{account_round, local_sgd, LocalTrainOptions};
     use fedlps_data::scenario::{DatasetKind, ScenarioConfig};
@@ -447,20 +446,16 @@ mod tests {
         }
     }
 
-    /// The tentpole contract: every {mode × policy × backend} combination
-    /// runs, and each combination is bit-identical across parallelism
-    /// settings and backend choices.
+    /// The tentpole contract: every {mode × policy} combination runs, and
+    /// each is bit-identical on the serial backend (parallelism 1) and the
+    /// thread-pool backend (parallelism 4).
     #[test]
-    fn mode_policy_backend_matrix_is_bit_identical_across_execution() {
-        let run = |mode: RoundMode,
-                   selection: SelectionKind,
-                   backend: BackendKind,
-                   parallelism: usize| {
+    fn mode_policy_matrix_is_bit_identical_across_backends() {
+        let run = |mode: RoundMode, selection: SelectionKind, parallelism: usize| {
             Simulator::new(env_with(
                 FlConfig::tiny()
                     .with_round_mode(mode)
                     .with_selection(selection)
-                    .with_backend(backend)
                     .with_parallelism(parallelism),
             ))
             .run(&mut MiniFedAvg::new())
@@ -475,7 +470,7 @@ mod tests {
                 SelectionKind::utility(),
                 SelectionKind::power_of_choice(),
             ] {
-                let reference = run(mode, selection, BackendKind::Serial, 1);
+                let reference = run(mode, selection, 1);
                 assert_eq!(
                     reference.rounds.len(),
                     FlConfig::tiny().rounds,
@@ -483,22 +478,13 @@ mod tests {
                     mode.name(),
                     selection.name()
                 );
-                for (backend, parallelism) in [
-                    (BackendKind::Auto, 4),
-                    (BackendKind::ThreadPool, 1),
-                    (BackendKind::ThreadPool, 4),
-                    (BackendKind::Serial, 4),
-                ] {
-                    assert_eq!(
-                        reference,
-                        run(mode, selection, backend, parallelism),
-                        "{}/{}/{:?} at parallelism {} must match the serial run",
-                        mode.name(),
-                        selection.name(),
-                        backend,
-                        parallelism
-                    );
-                }
+                assert_eq!(
+                    reference,
+                    run(mode, selection, 4),
+                    "{}/{} at parallelism 4 must match the serial run",
+                    mode.name(),
+                    selection.name()
+                );
             }
         }
     }

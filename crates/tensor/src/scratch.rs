@@ -14,11 +14,11 @@
 //! so pooled and freshly-allocated matrices are interchangeable bit for bit.
 //!
 //! Reuse is size-bucketed: idle buffers live in power-of-two capacity
-//! classes, LIFO within each class. A request pops the most recently
-//! recycled buffer of its own class (the per-batch model passes cycle
-//! through a fixed set of shapes, so this keeps the hot loop touching the
-//! same cache-warm allocations), walking up to larger classes only when its
-//! own is empty. A large buffer — e.g. the packed client step's flat
+//! classes, LIFO within each class. A request takes the most recently
+//! recycled buffer of its own class that fits (the per-batch model passes
+//! cycle through a fixed set of shapes, so this keeps the hot loop touching
+//! the same cache-warm allocations), walking up to larger classes only when
+//! none in its own does. A large buffer — e.g. the packed client step's flat
 //! [`Arena`] — therefore never gets burned on a small request, and a small
 //! buffer is never popped for a large request and reallocated (the old
 //! plain-LIFO failure mode).
@@ -66,22 +66,22 @@ impl ScratchPool {
 
     /// A zero-filled buffer of `len` elements, reusing a pooled buffer.
     ///
-    /// The request's own class is tried first: its top buffer is reused when
-    /// it is large enough (same-size take/recycle cycles always hit this
-    /// cache-warm path). Otherwise the smallest non-empty larger class
+    /// The request's own class is tried first: its most recently recycled
+    /// buffer that is large enough is reused (same-size take/recycle cycles
+    /// always hit the top, the cache-warm path). Searching past the top
+    /// keeps a fitting buffer from being buried under smaller ones of the
+    /// same class, which would leak one fresh allocation per cycle whenever
+    /// two shapes alternate. Otherwise the smallest non-empty larger class
     /// serves the request — every buffer there is guaranteed to fit — and
     /// only when all of those are empty is a fresh buffer allocated.
     pub fn take_vec(&mut self, len: usize) -> Vec<f32> {
         let c = class_of(len.max(1));
-        let fits = self.buckets[c]
-            .last()
-            .is_some_and(|top| top.capacity() >= len);
-        let reused = if fits {
-            self.buckets[c].pop()
-        } else {
-            self.buckets[c + 1..]
+        let own = &mut self.buckets[c];
+        let reused = match own.iter().rposition(|buf| buf.capacity() >= len) {
+            Some(i) => Some(own.remove(i)),
+            None => self.buckets[c + 1..]
                 .iter_mut()
-                .find_map(|bucket| bucket.pop())
+                .find_map(|bucket| bucket.pop()),
         };
         let mut buf = reused.unwrap_or_default();
         buf.clear();
@@ -243,6 +243,22 @@ mod tests {
             small_again.capacity() < 1024,
             "small request picked the small buffer"
         );
+    }
+
+    /// Two shapes of one size class alternating (a training batch and an
+    /// evaluation batch) must not bury the larger buffer under the smaller
+    /// one and allocate a fresh one on every cycle.
+    #[test]
+    fn alternating_shapes_in_one_class_reuse_their_buffers() {
+        let mut pool = ScratchPool::new();
+        for _ in 0..10 {
+            let big = pool.take_vec(60);
+            pool.recycle_vec(big);
+            let (a, b) = (pool.take_vec(40), pool.take_vec(40));
+            pool.recycle_vec(a);
+            pool.recycle_vec(b);
+        }
+        assert_eq!(pool.idle(), 2, "one 60-cap and one 40-cap buffer");
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! cargo run --release --example quickstart
 //! ```
 //!
-//! Nine environment variables support CI's determinism gate (and general
+//! Eight environment variables support CI's determinism gate (and general
 //! scripting): `FEDLPS_PARALLELISM` sets the round-loop shard count
 //! (default 1 = serial, 0 = all cores), `FEDLPS_ROUND_MODE` picks the
 //! execution semantics (`sync` = the default synchronous barrier,
@@ -14,10 +14,8 @@
 //! compares all three), `FEDLPS_SELECTION` picks the client-selection policy
 //! (`uniform` = the default, `utility` = Oort-style utility selection,
 //! `power` = power-of-choice; see `examples/utility_selection.rs`),
-//! `FEDLPS_BACKEND` picks the execution backend (`auto` | `serial` |
-//! `threadpool`), `FEDLPS_PACKED` toggles physically packed submodel
-//! execution (`1` = packed, the default; `0` = masked-dense),
-//! `FEDLPS_TOPOLOGY` picks the aggregation topology (`flat` = the default
+//! `FEDLPS_PACKED` toggles physically packed submodel execution (`1` =
+//! packed, the default; `0` = masked-dense), `FEDLPS_TOPOLOGY` picks the aggregation topology (`flat` = the default
 //! direct uploads, `two-tier` = zone aggregators; see
 //! `examples/hierarchical_fleet.rs`), `FEDLPS_AVAILABILITY` picks the
 //! device-availability model (`iid` = the default per-dispatch coin flip,
@@ -25,10 +23,10 @@
 //! windows; see `examples/diurnal_fleet.rs`), `FEDLPS_QUORUM` sets the
 //! cohort quorum fraction in `(0, 1]` (default 1.0 = full barrier) and
 //! `FEDLPS_METRICS_JSON` names a file to which the full `RunResult` is
-//! written as JSON. Runs at any parallelism level, on any backend, with
-//! packing on or off, under either topology and under any availability
-//! model are bit-identical for the same seed *in every mode and under every
-//! policy*, which the CI matrix enforces by diffing the JSON of
+//! written as JSON. Runs at any parallelism level (serial at 1, a thread
+//! pool above), with packing on or off, under either topology and under any
+//! availability model are bit-identical for the same seed *in every mode and
+//! under every policy*, which the CI matrix enforces by diffing the JSON of
 //! serial/sharded and packed/masked runs across modes, policies, topologies
 //! and availability models.
 
@@ -57,16 +55,11 @@ fn main() {
         },
         Err(_) => RoundMode::Synchronous,
     };
-    // ... and for the selection policy and execution backend.
+    // ... and for the selection policy.
     let selection = match std::env::var("FEDLPS_SELECTION") {
         Ok(v) => SelectionKind::from_name(&v)
             .unwrap_or_else(|| panic!("FEDLPS_SELECTION must be uniform|utility|power, got {v:?}")),
         Err(_) => SelectionKind::Uniform,
-    };
-    let backend = match std::env::var("FEDLPS_BACKEND") {
-        Ok(v) => BackendKind::from_name(&v)
-            .unwrap_or_else(|| panic!("FEDLPS_BACKEND must be auto|serial|threadpool, got {v:?}")),
-        Err(_) => BackendKind::Auto,
     };
     let packed_execution = match std::env::var("FEDLPS_PACKED") {
         Ok(v) => match v.as_str() {
@@ -102,7 +95,6 @@ fn main() {
         parallelism,
         round_mode,
         selection,
-        backend,
         packed_execution,
         topology,
         availability,
@@ -159,10 +151,6 @@ fn main() {
     println!(
         "selection policy:                 {}",
         sim.env().config.selection.name()
-    );
-    println!(
-        "execution backend:                {}",
-        sim.env().config.backend.name()
     );
     println!(
         "submodel execution:               {}",
